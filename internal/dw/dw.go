@@ -69,14 +69,14 @@ func FrontierContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.
 	if err != nil {
 		return nil, err
 	}
-	entries, err := c.run(ctx)
+	final, err := c.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]pareto.Item[*tree.Tree], len(entries))
-	for i, e := range entries {
+	out := make([]pareto.Item[*tree.Tree], 0, final.n)
+	for e := final.off; e < final.end(); e++ {
 		t := c.reconstruct(e)
-		out[i] = pareto.Item[*tree.Tree]{Sol: pareto.Sol{W: c.arena[e].w, D: c.arena[e].d}, Val: t}
+		out = append(out, pareto.Item[*tree.Tree]{Sol: pareto.Sol{W: c.arena[e].w, D: c.arena[e].d}, Val: t})
 	}
 	return out, nil
 }
@@ -94,13 +94,13 @@ func FrontierSolsContext(ctx context.Context, net tree.Net, opts Options) ([]par
 	if err != nil {
 		return nil, err
 	}
-	entries, err := c.run(ctx)
+	final, err := c.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]pareto.Sol, len(entries))
-	for i, e := range entries {
-		out[i] = pareto.Sol{W: c.arena[e].w, D: c.arena[e].d}
+	out := make([]pareto.Sol, 0, final.n)
+	for e := final.off; e < final.end(); e++ {
+		out = append(out, pareto.Sol{W: c.arena[e].w, D: c.arena[e].d})
 	}
 	return out, nil
 }
@@ -123,10 +123,19 @@ type ent struct {
 	kind entKind
 }
 
+// span is a run of consecutive arena entries. Every state is pushed in one
+// piece once its staircase is final, so a state is the span of its
+// entries, in canonical frontier order (w strictly increasing, d strictly
+// decreasing).
+type span struct{ off, n int32 }
+
+func (s span) end() int32 { return s.off + s.n }
+
 type computation struct {
 	net     tree.Net
 	opts    Options
 	grid    *hanan.Grid
+	pt      []geom.Point // plane position of each grid node
 	arena   []ent
 	nodes   []int // unpruned grid node indices
 	keep    []bool
@@ -138,20 +147,33 @@ type computation struct {
 	rootNd  int
 	// boundary circular order position of each sink, -1 if interior
 	boundaryPos []int
-	// S[q] maps grid node -> entry indices (canonical frontier order).
-	S [][][]int32
+	// S holds the state of every (subset, grid node) pair: S_{v,q} is
+	// S[q*nn+v].
+	S  []span
+	nn int // grid nodes
 
 	// Per-subset scratch, reused across the 2^m DP steps (the DP runs
 	// once per local-search window, so these appends dominated the
 	// router's allocation profile before they were hoisted here).
+	M         []span     // merge (or base) frontier of the current subset per grid node
+	acc, tmp  []ent      // fold accumulator and its double buffer
+	stair     []ent      // the staircase being folded into acc
 	insideBuf []int      // insideNodes result
 	splitsBuf []int      // splits / boundarySplits result
 	msBuf     []bdMember // boundarySplits members
-	srcsBuf   []int      // extend's non-empty source nodes
+	srcsBuf   []source   // extend's non-empty source nodes
 	// seenStamp/seenGen replace boundarySplits' per-call map: a submask is
 	// "seen" when its stamp equals the current generation.
 	seenStamp []int32
 	seenGen   int32
+}
+
+// source is a grid node u with a non-empty merge frontier M_u, and the
+// ideal corner of that frontier: its cheapest w and its lowest d.
+type source struct {
+	u    int32
+	m    span
+	w, d int64
 }
 
 // bdMember is one sink of a boundary-split enumeration with its position
@@ -167,6 +189,10 @@ func newComputation(net tree.Net, opts Options) (*computation, error) {
 		return nil, fmt.Errorf("dw: degree %d exceeds MaxExactDegree %d", n, MaxExactDegree)
 	}
 	c := &computation{net: net, opts: opts, grid: hanan.NewGrid(net.Pins)}
+	c.pt = make([]geom.Point, c.grid.NumNodes())
+	for idx := range c.pt {
+		c.pt[idx] = c.grid.Point(idx)
+	}
 
 	// Collapse duplicate sink positions; drop sinks at the source.
 	src := net.Source()
@@ -278,21 +304,21 @@ func (c *computation) computeBoundary() {
 	}
 }
 
-// run executes the dynamic program and returns the entry indices of the
-// final frontier S_{r, all sinks}. The context is checked before every
+// run executes the dynamic program and returns the entries of the final
+// frontier S_{r, all sinks}. The context is checked before every
 // sink-subset so cancellation binds within one DP step.
-func (c *computation) run(ctx context.Context) ([]int32, error) {
+func (c *computation) run(ctx context.Context) (span, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return span{}, err
 	}
 	if c.m == 0 {
 		// No distinct sinks: the frontier is the single empty tree.
-		c.arena = append(c.arena, ent{w: 0, d: 0, kind: kBase, sink: -1})
-		return []int32{0}, nil
+		return span{off: c.push(ent{w: 0, d: 0, kind: kBase, sink: -1}), n: 1}, nil
 	}
 	full := (1 << c.m) - 1
-	c.S = make([][][]int32, full+1)
-	nn := c.grid.NumNodes()
+	c.nn = c.grid.NumNodes()
+	c.S = make([]span, (full+1)*c.nn)
+	c.M = make([]span, c.nn)
 
 	// Subsets in increasing popcount order.
 	order := make([]int, 0, full)
@@ -308,22 +334,20 @@ func (c *computation) run(ctx context.Context) ([]int32, error) {
 
 	for _, q := range order {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return span{}, err
 		}
-		Sq := make([][]int32, nn)
-		// M: merge/base candidates per node.
-		M := make([][]int32, nn)
 		if bits.OnesCount(uint(q)) == 1 {
+			for _, v := range c.insideNodes(q) {
+				c.M[v] = span{}
+			}
 			s := bits.TrailingZeros(uint(q))
-			e := c.push(ent{w: 0, d: 0, kind: kBase, sink: int16(s)})
-			M[c.sinkNd[s]] = []int32{e}
+			c.M[c.sinkNd[s]] = span{off: c.push(ent{w: 0, d: 0, kind: kBase, sink: int16(s)}), n: 1}
 		} else {
-			c.mergeCandidates(q, M)
+			c.mergeCandidates(q)
 		}
-		c.extend(q, M, Sq)
-		c.S[q] = Sq
+		c.extend(q)
 	}
-	return c.stateAt(full, c.rootNd), nil
+	return c.state(full, c.rootNd), nil
 }
 
 // bbox returns the inclusive rank-coordinate bounding box of the sinks in q.
@@ -376,28 +400,49 @@ func (c *computation) insideNodes(q int) []int {
 	return out
 }
 
-// mergeCandidates fills M[v] with the Pareto-filtered merge solutions
-// S_{v,Q1} ⊕ S_{v,Q2} over the admissible splits of q.
-func (c *computation) mergeCandidates(q int, M [][]int32) {
+// mergeCandidates sets M[v], for every node v inside q, to the frontier
+// of the merge solutions S_{v,Q1} ⊕ S_{v,Q2} over the admissible splits
+// of q: each split's ⊕ frontier is swept in linear time (combine) and
+// folded into one accumulator, so the |S1|·|S2| cross product is never
+// built. On equal (w, d) the first split in splits order wins.
+func (c *computation) mergeCandidates(q int) {
 	splits := c.splits(q)
-	inside := c.insideNodes(q)
-	var cand []ent
-	for _, v := range inside {
-		cand = cand[:0]
+	acc, tmp, run := c.acc, c.tmp, c.stair
+	for _, v := range c.insideNodes(q) {
+		acc = acc[:0]
 		for _, q1 := range splits {
-			q2 := q &^ q1
-			s1 := c.stateAt(q1, v)
-			s2 := c.stateAt(q2, v)
-			for _, e1 := range s1 {
-				for _, e2 := range s2 {
-					w := c.arena[e1].w + c.arena[e2].w
-					d := geom.Max64(c.arena[e1].d, c.arena[e2].d)
-					cand = append(cand, ent{w: w, d: d, kind: kMerge, a: e1, b: e2})
-				}
-			}
+			run = c.combine(run[:0], c.state(q1, v), c.state(q&^q1, v))
+			acc, tmp, run = fold(acc, tmp, run)
 		}
-		M[v] = c.filterPush(cand)
+		c.M[v] = c.pushState(acc)
 	}
+	c.acc, c.tmp, c.stair = acc, tmp, run
+}
+
+// combine appends to run the Pareto frontier of s1 ⊕ s2 = {(w1+w2,
+// max(d1,d2))}, in O(|s1|+|s2|). Both operands are staircases, so the
+// cheapest pair meeting a delay bound pairs the first entry of each side
+// within it: start from both cheapest entries and, to lower the delay,
+// advance the side holding the larger one, or both on equal delays. Each
+// step strictly raises w and strictly lowers d, so the sweep emits the
+// ⊕ frontier in canonical order, every point from the unique pair of
+// lowest (s1, s2) indices that attains it.
+func (c *computation) combine(run []ent, s1, s2 span) []ent {
+	i, j := s1.off, s2.off
+	for i < s1.end() && j < s2.end() {
+		e1, e2 := &c.arena[i], &c.arena[j]
+		run = append(run, ent{w: e1.w + e2.w, d: geom.Max64(e1.d, e2.d), kind: kMerge, a: i, b: j})
+		switch {
+		case e1.d > e2.d:
+			i++
+		case e2.d > e1.d:
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return run
 }
 
 // splits enumerates the submasks q1 of q to merge with q\q1, each
@@ -468,38 +513,49 @@ func (c *computation) boundarySplits(q, low int) []int {
 }
 
 // extend computes the extension closure: S_{v,q} for inside nodes from the
-// union over inside u of M_u + dist(u,v). Outside nodes are resolved
-// lazily through stateAt (Lemma 3).
-func (c *computation) extend(q int, M, Sq [][]int32) {
+// union over inside u of M_u + dist(u,v). A shift by a constant keeps a
+// staircase a staircase, so each source's shifted frontier is folded into
+// the accumulator as it is; on equal (w, d) the first source in inside
+// order wins. Outside nodes are resolved by projection (Lemma 3).
+func (c *computation) extend(q int) {
 	inside := c.insideNodes(q)
 	// Collect source nodes with non-empty M.
 	srcs := c.srcsBuf[:0]
 	for _, u := range inside {
-		if len(M[u]) > 0 {
-			srcs = append(srcs, u)
+		if m := c.M[u]; m.n > 0 {
+			srcs = append(srcs, source{u: int32(u), m: m, w: c.arena[m.off].w, d: c.arena[m.end()-1].d})
 		}
 	}
 	c.srcsBuf = srcs
-	var cand []ent
+	Sq := c.S[q*c.nn : (q+1)*c.nn]
+	acc, tmp, run := c.acc, c.tmp, c.stair
 	for _, v := range inside {
-		cand = cand[:0]
-		for _, u := range srcs {
-			dist := c.grid.Dist(u, v)
-			for _, e := range M[u] {
-				cand = append(cand, ent{
-					w: c.arena[e].w + dist, d: c.arena[e].d + dist,
-					kind: kExt, a: e, b: int32(u),
-				})
+		acc = acc[:0]
+		for _, src := range srcs {
+			dist := geom.Dist(c.pt[src.u], c.pt[v])
+			// Every shifted entry is weakly dominated by the run's shifted
+			// ideal corner; when the accumulator already covers that
+			// corner the fold would keep nothing of the run.
+			if covers(acc, src.w+dist, src.d+dist) {
+				continue
 			}
+			run = run[:0]
+			for e := src.m.off; e < src.m.end(); e++ {
+				x := &c.arena[e]
+				run = append(run, ent{w: x.w + dist, d: x.d + dist, kind: kExt, a: e, b: src.u})
+			}
+			acc, tmp, run = fold(acc, tmp, run)
 		}
-		Sq[v] = c.filterPush(cand)
+		Sq[v] = c.pushState(acc)
 	}
+	c.acc, c.tmp, c.stair = acc, tmp, run
 	if !c.opts.ProjectOutside {
 		return
 	}
 	// Outside nodes: projection derivation (Lemma 3), computed eagerly so
 	// later merges can read any node's state uniformly.
 	ilo, jlo, ihi, jhi := c.bbox(q)
+	arena := c.arena
 	for _, v := range c.nodes {
 		i, j := c.grid.Coords(v)
 		if i >= ilo && i <= ihi && j >= jlo && j <= jhi {
@@ -514,17 +570,17 @@ func (c *computation) extend(q int, M, Sq [][]int32) {
 			// corner-pruned.
 			panic("dw: projection target pruned; Lemma 2/3 invariant broken")
 		}
-		dist := c.grid.Dist(u, v)
+		dist := geom.Dist(c.pt[u], c.pt[v])
 		src := Sq[u]
-		der := make([]int32, 0, len(src))
-		for _, e := range src {
-			der = append(der, c.push(ent{
-				w: c.arena[e].w + dist, d: c.arena[e].d + dist,
+		Sq[v] = span{off: int32(len(arena)), n: src.n}
+		for e := src.off; e < src.end(); e++ {
+			arena = append(arena, ent{
+				w: arena[e].w + dist, d: arena[e].d + dist,
 				kind: kExt, a: e, b: int32(u),
-			}))
+			})
 		}
-		Sq[v] = der
 	}
+	c.arena = arena
 }
 
 func clamp(x, lo, hi int) int {
@@ -537,9 +593,9 @@ func clamp(x, lo, hi int) int {
 	return x
 }
 
-// stateAt returns S_{q, v}.
-func (c *computation) stateAt(q, v int) []int32 {
-	return c.S[q][v]
+// state returns S_{v,q}.
+func (c *computation) state(q, v int) span {
+	return c.S[q*c.nn+v]
 }
 
 func (c *computation) push(e ent) int32 {
@@ -547,47 +603,74 @@ func (c *computation) push(e ent) int32 {
 	return int32(len(c.arena) - 1)
 }
 
-// filterPush Pareto-filters candidate entries and pushes only the
-// survivors into the arena, returning their indices in canonical order
-// (w increasing, d strictly decreasing), duplicates dropped.
-func (c *computation) filterPush(cand []ent) []int32 {
-	if len(cand) == 0 {
-		return nil
+// fold merges the staircase run into the staircase acc in
+// O(|acc|+|run|), using tmp as the output buffer, and returns the new
+// accumulator and the two spare buffers. Candidates are folded in the
+// order they are generated, so the accumulator's entry wins an equal
+// (w, d) tie: the earliest-generated candidate survives, a total order
+// independent of any sort. The buffers travel as values, not through the
+// computation, so the hot loops write no heap pointers.
+func fold(acc, tmp, run []ent) (_, _, _ []ent) {
+	switch {
+	case len(run) == 0:
+		return acc, tmp, run
+	case len(acc) == 0:
+		return run, tmp, acc
 	}
-	slices.SortFunc(cand, func(a, b ent) int {
-		if a.w != b.w {
-			if a.w < b.w {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.d < b.d:
-			return -1
-		case a.d > b.d:
-			return 1
-		}
-		return 0
-	})
-	// Count survivors first so the persistent result is one exact
-	// allocation rather than a growth sequence.
-	n := 0
+	out := tmp[:0]
 	bestD := int64(1<<63 - 1)
-	for _, e := range cand {
+	i, j := 0, 0
+	for i < len(acc) && j < len(run) {
+		var e ent
+		if acc[i].w < run[j].w || acc[i].w == run[j].w && acc[i].d <= run[j].d {
+			e = acc[i]
+			i++
+		} else {
+			e = run[j]
+			j++
+		}
 		if e.d < bestD {
-			n++
+			out = append(out, e)
 			bestD = e.d
 		}
 	}
-	out := make([]int32, 0, n)
-	bestD = int64(1<<63 - 1)
-	for _, e := range cand {
+	// One side is exhausted; the other's d strictly decreases, so it
+	// contributes its suffix below bestD.
+	rest := acc[i:]
+	if i == len(acc) {
+		rest = run[j:]
+	}
+	for k, e := range rest {
 		if e.d < bestD {
-			out = append(out, c.push(e))
-			bestD = e.d
+			out = append(out, rest[k:]...)
+			break
 		}
 	}
-	return out
+	return out, acc[:0], run
+}
+
+// covers reports whether an entry of the staircase acc weakly dominates
+// (w, d).
+func covers(acc []ent, w, d int64) bool {
+	// acc's d strictly decreases, so the last entry with w' <= w has the
+	// lowest d among them; binary search for it.
+	lo, hi := 0, len(acc)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if acc[mid].w <= w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo > 0 && acc[lo-1].d <= d
+}
+
+// pushState pushes a finished staircase into the arena as one state.
+func (c *computation) pushState(acc []ent) span {
+	s := span{off: int32(len(c.arena)), n: int32(len(acc))}
+	c.arena = append(c.arena, acc...)
+	return s
 }
 
 // reconstruct rebuilds the routing tree of entry e, rooted at the source.

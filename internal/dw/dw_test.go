@@ -100,9 +100,21 @@ func assertSameFrontier(t *testing.T, got, want []pareto.Sol) {
 
 func TestFrontierMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		n := 3 + rng.Intn(2) // 3 or 4 pins
 		net := randNet(rng, n, 12)
+		switch trial % 3 {
+		case 1: // a duplicate pin: a sink on another sink or on the source
+			net.Pins[n-1] = net.Pins[rng.Intn(n-1)]
+		case 2: // collinear pins, on a row or a column
+			for i := range net.Pins {
+				if trial%2 == 0 {
+					net.Pins[i].Y = net.Pins[0].Y
+				} else {
+					net.Pins[i].X = net.Pins[0].X
+				}
+			}
+		}
 		got, err := FrontierSols(net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)

@@ -99,18 +99,37 @@ func Shift(s []Sol, x int64) []Sol {
 
 // Combine returns the Pareto filter of
 // {(w1+w2, max(d1,d2)) | s1 in a, s2 in b}: the objective change from
-// joining two subtrees at a common root (the S⊕S' operator).
+// joining two subtrees at a common root (the S⊕S' operator). For
+// canonical frontiers it runs in O(|a|+|b|) and never builds the product:
+// the cheapest pair within a delay bound pairs the cheapest entry of each
+// side within it, so a sweep starts from both cheapest entries and, to
+// lower the delay, advances the side holding the larger one, or both on
+// equal delays. Other inputs are filtered first.
 func Combine(a, b []Sol) []Sol {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	prod := make([]Sol, 0, len(a)*len(b))
-	for _, s1 := range a {
-		for _, s2 := range b {
-			prod = append(prod, Sol{W: s1.W + s2.W, D: max64(s1.D, s2.D)})
+	if !IsFrontier(a) {
+		a = Filter(a)
+	}
+	if !IsFrontier(b) {
+		b = Filter(b)
+	}
+	out := make([]Sol, 0, len(a)+len(b)-1)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		out = append(out, Sol{W: a[i].W + b[j].W, D: max64(a[i].D, b[j].D)})
+		switch {
+		case a[i].D > b[j].D:
+			i++
+		case b[j].D > a[i].D:
+			j++
+		default:
+			i++
+			j++
 		}
 	}
-	return Filter(prod)
+	return out
 }
 
 // Merge returns the Pareto filter of the union of the given sets.

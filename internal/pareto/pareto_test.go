@@ -2,6 +2,7 @@ package pareto
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -275,6 +276,40 @@ func TestHypervolumeMatchesPixelCount(t *testing.T) {
 		if got := Hypervolume(front, ref); got != float64(want) {
 			t.Fatalf("trial %d: Hypervolume = %v, pixel count %d (front %v)",
 				trial, got, want, front)
+		}
+	}
+}
+
+// TestCombineMatchesProductFilter checks the linear ⊕ sweep against the
+// Pareto filter of the full product, on random staircases — half of them
+// with delays from 0..7, so equal delays across the operands are common —
+// and on unfiltered operands.
+func TestCombineMatchesProductFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	front := func(k int, dRange int64) []Sol {
+		sols := make([]Sol, k)
+		for i := range sols {
+			sols[i] = Sol{W: rng.Int63n(50), D: rng.Int63n(dRange)}
+		}
+		return Filter(sols)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		dRange := []int64{8, 50}[trial%2]
+		a, b := front(1+rng.Intn(10), dRange), front(1+rng.Intn(10), dRange)
+		if trial%4 == 3 {
+			// Unfiltered operands: dominated points and duplicates.
+			a = append(a, Sol{W: rng.Int63n(50), D: rng.Int63n(50)}, a[0])
+			b = append([]Sol{{W: rng.Int63n(50), D: rng.Int63n(50)}}, b...)
+		}
+		var prod []Sol
+		for _, s1 := range a {
+			for _, s2 := range b {
+				prod = append(prod, Sol{W: s1.W + s2.W, D: max64(s1.D, s2.D)})
+			}
+		}
+		want := Filter(prod)
+		if got := Combine(a, b); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Combine(%v, %v) = %v, want %v", trial, a, b, got, want)
 		}
 	}
 }

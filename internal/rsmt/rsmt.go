@@ -14,6 +14,8 @@
 package rsmt
 
 import (
+	"slices"
+
 	"patlabor/internal/dw"
 	"patlabor/internal/geom"
 	"patlabor/internal/hanan"
@@ -119,42 +121,62 @@ func oneSteiner(net tree.Net) *tree.Tree {
 			candidates = append(candidates, p)
 		}
 	}
-	steiner := []geom.Point{}
-	base := mstLength(net.Pins, steiner)
+	pts := append([]geom.Point(nil), net.Pins...)
+	var ev mstEval
+	base := ev.reset(pts)
 	for round := 0; round < net.Degree(); round++ {
 		bestGain := int64(0)
 		bestIdx := -1
 		for ci, c := range candidates {
-			l := mstLength(net.Pins, append(steiner, c))
-			if gain := base - l; gain > bestGain {
+			if gain := base - ev.lengthWith(c); gain > bestGain {
 				bestGain, bestIdx = gain, ci
 			}
 		}
 		if bestIdx < 0 {
 			break
 		}
-		steiner = append(steiner, candidates[bestIdx])
+		pts = append(pts, candidates[bestIdx])
 		candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
-		base -= bestGain
+		base = ev.reset(pts)
 	}
-	t := mstWithSteiner(net, steiner)
+	t := mstWithSteiner(net, pts[net.Degree():])
 	// Degree-2 Steiner points are artefacts of the candidate set; splice
 	// them and apply the trunk-sharing passes.
 	refine(t)
 	return t
 }
 
-// mstLength returns the rectilinear MST length over pins plus Steiner
-// points, with Steiner points of degree < 3 contributing no benefit
-// (classic 1-Steiner evaluation simply measures the MST).
-func mstLength(pins []geom.Point, steiner []geom.Point) int64 {
-	pts := append(append([]geom.Point(nil), pins...), steiner...)
+// mstEval measures the rectilinear MST length of a point set P with one
+// extra point c, for many c. Adding a point never needs an edge between
+// two points of P outside MST(P) — such an edge is the longest on a cycle
+// of MST(P) — so MST(P ∪ {c}) is the minimum spanning tree of
+// MST(P) ∪ star(c), whose length lengthWith finds in O(k) where a full
+// Prim over P ∪ {c} costs O(k²).
+type mstEval struct {
+	pts   []geom.Point
+	order []int32 // points in Prim's insertion order: parents precede children
+	par   []int32 // MST(P) parent of each point (point 0 is the root)
+	plen  []int64 // length of the edge to the parent
+	// Per-candidate scratch, indexed by point: the MST length of a subtree
+	// plus c, and the longest edge on that MST's path from the point to c.
+	sub, far []int64
+}
+
+// reset sets P to pts (retained, not copied) and returns its MST length.
+func (ev *mstEval) reset(pts []geom.Point) int64 {
 	k := len(pts)
+	ev.pts = pts
+	ev.order = append(ev.order[:0], 0)
+	ev.par = slices.Grow(ev.par[:0], k)[:k]
+	ev.plen = slices.Grow(ev.plen[:0], k)[:k]
+	ev.sub = slices.Grow(ev.sub[:0], k)[:k]
+	ev.far = slices.Grow(ev.far[:0], k)[:k]
 	const inf = int64(1) << 62
 	dist := make([]int64, k)
 	inT := make([]bool, k)
 	for i := 1; i < k; i++ {
 		dist[i] = geom.Dist(pts[i], pts[0])
+		ev.par[i] = 0
 	}
 	inT[0] = true
 	var total int64
@@ -167,15 +189,47 @@ func mstLength(pins []geom.Point, steiner []geom.Point) int64 {
 		}
 		total += bestD
 		inT[best] = true
+		ev.order = append(ev.order, int32(best))
+		ev.plen[best] = bestD
 		for i := 1; i < k; i++ {
 			if !inT[i] {
 				if d := geom.Dist(pts[i], pts[best]); d < dist[i] {
-					dist[i] = d
+					dist[i], ev.par[i] = d, int32(best)
 				}
 			}
 		}
 	}
 	return total
+}
+
+// lengthWith returns the MST length of P ∪ {c}. It builds the MST of
+// MST(P) ∪ star(c) bottom-up: each point starts as its own star edge to
+// c, and each subtree, once complete, is joined to its parent's partial
+// tree by the tree edge between them. That edge closes exactly one cycle
+// — the edge, the child's path to c and the parent's path to c — and the
+// cycle's longest edge is dropped, so the partial trees stay minimum
+// (the cycle rule) and only each point's longest edge on its path to c
+// needs tracking.
+func (ev *mstEval) lengthWith(c geom.Point) int64 {
+	for i, p := range ev.pts {
+		d := geom.Dist(c, p)
+		ev.sub[i], ev.far[i] = d, d
+	}
+	for idx := len(ev.order) - 1; idx >= 1; idx-- {
+		w := ev.order[idx]
+		p := ev.par[w]
+		e := ev.plen[w]
+		// The joined subtree's path to c runs through e.
+		via := max(e, ev.far[w])
+		drop := via
+		if ev.far[p] > via {
+			// The parent's own path loses its longest edge, and now
+			// reaches c through the child.
+			drop, ev.far[p] = ev.far[p], via
+		}
+		ev.sub[p] += ev.sub[w] + e - drop
+	}
+	return ev.sub[0]
 }
 
 // mstWithSteiner builds the rooted MST over pins and chosen Steiner points.
