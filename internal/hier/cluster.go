@@ -11,8 +11,8 @@ import (
 // Partition splits the net's sink pin indices into geometric clusters of
 // at most target pins by recursive median split on axes alternating with
 // depth — the divide step of ks.route, applied to the whole pin cloud at
-// once. Sinks are sorted stably on the full (axis, off-axis) coordinate
-// key at every level, so coincident pins keep their input order and the
+// once. Sinks are sorted on the total order (axis, off-axis, pin index) at
+// every level, so coincident pins stay in ascending pin order and the
 // result is a pure function of the pin coordinates: the cluster list, the
 // order of clusters (depth-first, near half before far half) and the pin
 // order inside each cluster are all independent of worker count, memo
@@ -38,18 +38,20 @@ func Partition(net tree.Net, target int) [][]int {
 			return
 		}
 		axis := depth % 2
-		slices.SortStableFunc(idx, func(a, b int) int {
+		// (axis, off-axis, pin index): the pin-index tie-break makes the
+		// order total, so the unstable sort is deterministic.
+		slices.SortFunc(idx, func(a, b int) int {
 			pa, pb := net.Pins[a], net.Pins[b]
-			if axis == 0 {
-				if c := cmp.Compare(pa.X, pb.X); c != 0 {
-					return c
-				}
-				return cmp.Compare(pa.Y, pb.Y)
+			if axis == 1 {
+				pa.X, pa.Y, pb.X, pb.Y = pa.Y, pa.X, pb.Y, pb.X
+			}
+			if c := cmp.Compare(pa.X, pb.X); c != 0 {
+				return c
 			}
 			if c := cmp.Compare(pa.Y, pb.Y); c != 0 {
 				return c
 			}
-			return cmp.Compare(pa.X, pb.X)
+			return cmp.Compare(a, b)
 		})
 		mid := len(idx) / 2
 		split(idx[:mid], depth+1)

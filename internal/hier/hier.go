@@ -4,10 +4,13 @@
 // Partition), a top-level tree is routed over the source plus one
 // representative "port" per cluster, each cluster becomes a small
 // subproblem rooted at its port — a perfect lookup-table-degree window
-// answered through core.WindowFrontier, hitting the symbolic LUT path and
-// the shared sub-frontier memo — and the per-cluster Pareto frontiers are
-// stitched onto the top-level frontier with the ⊕ combination of
-// internal/pareto.
+// answered through core.WindowFrontier on the symbolic LUT path — and the
+// per-cluster Pareto frontiers are stitched onto the top-level frontier
+// with the ⊕ combination of internal/pareto. Cluster windows do not
+// consult the shared sub-frontier memo: on clustered huge nets they hit
+// it in about one lookup of 10⁴ (core.window_hit_ratio 0.0001 in the
+// huge-net benchmark), so keying and storing them cost more than the
+// hits saved; the top-level route below the crossover still uses it.
 //
 // The delay algebra is exact int64 throughout: a top-level tree T with
 // port delays p_i (path length from the source to cluster i's port) and a
@@ -88,8 +91,10 @@ type Options struct {
 	Workers int
 	// Core configures the flat router used below the crossover and for
 	// every cluster and top-level subproblem: λ, lookup table, policy
-	// parameters, and — crucially for batch workloads — the shared
-	// sub-frontier memo (Core.Cache).
+	// parameters, and the shared sub-frontier memo (Core.Cache). The memo
+	// serves flat routes only — nets below the crossover and the last
+	// top-level net; cluster windows bypass it, because on clustered huge
+	// nets they hit it in about one lookup of 10⁴.
 	Core core.Options
 	// Stats, when set, accumulates cluster counts and recursion depths
 	// across Route calls (the engine surfaces them in -stats).
@@ -216,6 +221,11 @@ func route(ctx context.Context, net tree.Net, cfg config, level int) ([]pareto.I
 	// index's slot; the cluster order is fixed by the serial partition
 	// above, so the result is byte-identical at any worker count.
 	fronts := make([][]pareto.Item[*tree.Tree], len(clusters))
+	// Cluster windows skip the sub-frontier memo (see the package
+	// comment); repeated or translated huge nets are caught whole by the
+	// engine's dedup.
+	wopts := cfg.core
+	wopts.Cache = nil
 	err := pool.Each(ctx, len(clusters), cfg.workers, func(_, i int) error {
 		cl := clusters[i]
 		if len(cl) == 1 {
@@ -231,7 +241,7 @@ func route(ctx context.Context, net tree.Net, cfg config, level int) ([]pareto.I
 				pins = append(pins, p)
 			}
 		}
-		items, werr := core.WindowFrontier(ctx, net, pins, cfg.core)
+		items, werr := core.WindowFrontier(ctx, net, pins, wopts)
 		if werr != nil {
 			return werr
 		}

@@ -1,6 +1,9 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RelabelPins rewrites the pin indices of t through pinMap: a node
 // realising sub-net pin k comes to realise pinMap[k]. Used when a tree was
@@ -23,25 +26,29 @@ func (t *Tree) RelabelPins(pinMap []int) error {
 // which case sub's children hang directly off at. Pin indices of sub must
 // already be in t's net frame; sub's root pin marking is dropped when the
 // roots are merged. It returns the index in t of the node corresponding to
-// sub's root.
+// sub's root. Nodes are appended in sub's root-first, index-ordered BFS
+// order (TopoOrder), walked on pooled evaluator scratch.
 func (t *Tree) Graft(sub *Tree, at int) int {
-	idx := make([]int, sub.Len())
+	e := GetEvaluator()
+	defer PutEvaluator(e)
+	idx := e.loadRemap(sub)
+	t.grow(sub.Len())
 	var rootIdx int
-	for _, i := range sub.TopoOrder() {
+	for _, i := range e.order {
 		nd := sub.Nodes[i]
-		if i == sub.Root {
+		if int(i) == sub.Root {
 			if nd.P == t.Nodes[at].P {
-				idx[i] = at
+				idx[i] = int32(at)
 				if nd.Pin >= 0 && t.Nodes[at].IsSteiner() {
 					t.Nodes[at].Pin = nd.Pin
 				}
 			} else {
-				idx[i] = t.Add(nd.P, nd.Pin, at)
+				idx[i] = int32(t.Add(nd.P, nd.Pin, at))
 			}
-			rootIdx = idx[i]
+			rootIdx = int(idx[i])
 			continue
 		}
-		idx[i] = t.Add(nd.P, nd.Pin, idx[sub.Parent[i]])
+		idx[i] = int32(t.Add(nd.P, nd.Pin, int(idx[sub.Parent[i]])))
 	}
 	return rootIdx
 }
@@ -54,16 +61,33 @@ func MergeAtRoot(a, b *Tree) (*Tree, error) {
 			a.Nodes[a.Root].P, b.Nodes[b.Root].P)
 	}
 	out := a.Clone()
-	idx := make([]int, b.Len())
-	for _, i := range b.TopoOrder() {
-		if i == b.Root {
-			idx[i] = out.Root
+	e := GetEvaluator()
+	defer PutEvaluator(e)
+	idx := e.loadRemap(b)
+	out.grow(b.Len())
+	for _, i := range e.order {
+		if int(i) == b.Root {
+			idx[i] = int32(out.Root)
 			continue
 		}
 		nd := b.Nodes[i]
-		idx[i] = out.Add(nd.P, nd.Pin, idx[b.Parent[i]])
+		idx[i] = int32(out.Add(nd.P, nd.Pin, int(idx[b.Parent[i]])))
 	}
 	return out, nil
+}
+
+// loadRemap loads sub's adjacency and returns the index-remap scratch
+// sized for it.
+func (e *Evaluator) loadRemap(sub *Tree) []int32 {
+	e.Load(sub)
+	e.remap = growInt32(e.remap, sub.Len())
+	return e.remap
+}
+
+// grow reserves room for k more nodes.
+func (t *Tree) grow(k int) {
+	t.Nodes = slices.Grow(t.Nodes, k)
+	t.Parent = slices.Grow(t.Parent, k)
 }
 
 // RemovePin detaches the node realising pin from the tree structure: if it

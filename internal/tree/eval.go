@@ -32,6 +32,19 @@ type Evaluator struct {
 	// nbr/xs/ys are neighbourhood scratch for median relocation.
 	nbr    []geom.Point
 	xs, ys []int64
+	// Mutable child lists of the in-place passes (Steinerize, Compact):
+	// the children of node v are kid[off[v]:off[v]+cnt[v]], and pos[c] is
+	// c's slot within its parent's list.
+	off, cnt, pos, kid []int32
+	// Steinerize's per-node best pair (a, b) and its move heap, whose
+	// entries carry the pair's gain.
+	pa, pb []int32
+	heap   []move
+	// marks is Compact's candidate bitset: a superset of the nodes whose
+	// splice or promotion condition holds.
+	marks []uint64
+	// remap maps a grafted tree's node indices to the host tree's.
+	remap []int32
 }
 
 // evalPool recycles evaluators for the compatibility wrappers (Compact,
